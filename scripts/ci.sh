@@ -27,6 +27,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo "ci: build (-Wall -Wextra -Werror) and tests passed"
 
+# Concurrency stress job: the thread-pool, parallel-search, serving and
+# JIT-probe suites repeated with the pipeline forced onto 4 threads, so
+# even a 1-CPU runner interleaves workers. A check-then-act race in the
+# pool crashed roughly one run in fifty of a single search test on a
+# 4-CPU host and never on 1 CPU; one pass of the suite does not find
+# that kind of bug.
+TENSORIR_PARALLELISM=4 "$BUILD_DIR/tests/tensorir_tests" --gtest_repeat=50 \
+    --gtest_filter='ThreadPool*:ParallelSearch*:Search*:MeasureAccounting*:Serve*:ScheduleServer*:JitTest.ConcurrentFirstProbesAgree'
+echo "ci: concurrency stress (50 repeats at parallelism 4) passed"
+
 # Lint gate: run the tensorir-lint CLI (tools/tensorir_lint.cpp) over
 # the small-shape seed suite. The binary exits nonzero iff any
 # error-severity diagnostic (TIR-R/B/V/L codes) is reported, so a
@@ -169,7 +179,9 @@ echo "ci: ASan+UBSan build and tests passed"
 # registry, the intrinsic-registry snapshot path shared by both
 # execution engines, the parallel search pipeline and its
 # watchdog/journal paths, and the serving layer (sharded database,
-# hot cache, schedule server). The full suite under TSan's ~10x
+# hot cache, schedule server), and the JIT paths the search's prepare
+# stage drives from pool workers (concurrent toolchain probes, compiles
+# ahead of the measurement fold). The full suite under TSan's ~10x
 # slowdown buys no extra coverage: everything else is single-threaded.
 TSAN_DIR="${BUILD_DIR}-tsan"
 rm -rf "$TSAN_DIR"
@@ -179,6 +191,6 @@ cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-Wno-restrict -fno-sanitize-recover=all"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target tensorir_tests
 "$TSAN_DIR/tests/tensorir_tests" \
-    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:ServeDatabase*:HotCache*:ScheduleServer*'
+    --gtest_filter='ThreadPool*:ParallelSearch*:Trace*:Failpoint*:IntrinRegistry*:ServeDatabase*:HotCache*:ScheduleServer*:JitTest.ConcurrentFirstProbesAgree:JitMeasurerTest.PreparedCompileChargesItsOwnTime:JitMeasurerTest.CompileBudgetHoldsAtEveryParallelism'
 
 echo "ci: TSan build and concurrency tests passed"

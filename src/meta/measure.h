@@ -36,13 +36,18 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hwsim/device.h"
 #include "runtime/ndarray.h"
 
 namespace tir {
+namespace runtime {
+class JitModule;
+} // namespace runtime
 namespace meta {
 
 /** One committed measurement of a candidate program. */
@@ -191,6 +196,14 @@ class JitMeasurer : public MeasureBackend
     Measurement measure(const PrimFunc& func,
                         const hwsim::RunEstimate& estimate) override;
 
+    /** Compile `func` ahead of its measurement and keep the module with
+     *  this compile's own wall time, which the next measure() of a
+     *  structurally equal function charges against compile_budget_ms
+     *  (its own jitCompile would be an in-memory cache hit). The search
+     *  calls this from pool workers, so it is thread-safe; nothing else
+     *  in this class is. */
+    void prepare(const PrimFunc& func);
+
     /** Whether the isolated path is currently in use (false when
      *  disabled by config/env, unsupported, or degraded after
      *  exhausted worker startup retries). Exposed for tests. */
@@ -212,6 +225,15 @@ class JitMeasurer : public MeasureBackend
      *  straight to the in-process path instead of re-paying the
      *  startup retry/backoff per candidate. */
     bool runner_degraded_ = false;
+
+    /** A prepare()d compile, keyed by structural hash until measured. */
+    struct Prepared
+    {
+        std::shared_ptr<const runtime::JitModule> module;
+        double compile_ms = 0;
+    };
+    std::mutex prepared_mu_;
+    std::unordered_map<uint64_t, Prepared> prepared_;
 };
 
 /** Backend factory for TuneOptions::measure_backend: "" or "hwsim" →

@@ -138,6 +138,15 @@ struct Candidate
     uint64_t hash = 0;
     // Evaluation, attached in the sequential fold.
     MemoEntry* memo = nullptr;
+    // Numeric spot-check run by the prepare stage, for the gate to
+    // judge: the outputs on the oracle inputs, or `threw`. Unset when
+    // the stage did not run this candidate (the gate then runs it).
+    struct CheckRun
+    {
+        bool threw = false;
+        std::vector<runtime::NDArray> outputs;
+    };
+    std::optional<CheckRun> check;
 };
 
 /**
@@ -694,17 +703,24 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     };
 
     // --- Numeric spot-check oracle (runtime/vm.h) --------------------
-    // Lazily built on first use: seeded inputs plus the unscheduled
-    // workload's outputs from the tree-walking reference interpreter.
-    // Checked candidates re-run on copies of the same inputs through
+    // Built on first use: seeded inputs plus the unscheduled workload's
+    // outputs from the tree-walking reference interpreter. Checked
+    // candidates re-run on copies of the same inputs through
     // runtime::execute (the bytecode VM unless TENSORIR_FORCE_TREEWALK
     // overrides) and must agree within numeric_check_tolerance.
     std::vector<runtime::NDArray> oracle_inputs;
     std::vector<runtime::NDArray> oracle_outputs;
     int oracle_state = 0; // 0 = unbuilt, 1 = ready, -1 = unavailable
-    auto ensureOracle = [&]() -> bool {
-        if (oracle_state != 0) return oracle_state > 0;
-        trace::Span span("search.numeric_oracle_build");
+    // A workload the reference itself cannot execute (fuel exhaustion,
+    // unregistered intrinsic) disables the check instead of rejecting
+    // every candidate against garbage.
+    auto oracleUnavailable = [&] {
+        oracle_outputs.clear();
+        oracle_state = -1;
+        trace::instant("search.numeric_oracle_unavailable");
+    };
+    // The inputs, built on the search thread.
+    auto buildOracleInputs = [&] {
         try {
             // A derivation index no candidate stream uses, so the
             // oracle inputs never correlate with schedule sampling.
@@ -724,6 +740,16 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                 oracle_inputs.push_back(std::move(array));
             }
             oracle_outputs = oracle_inputs;
+        } catch (const std::exception&) {
+            oracleUnavailable();
+        }
+    };
+    // The reference run. It writes only oracle_outputs and
+    // oracle_state, so the prepare stage runs it as a pool task beside
+    // check runs that read oracle_inputs.
+    auto runOracle = [&] {
+        trace::Span span("search.numeric_oracle_build");
+        try {
             std::vector<runtime::NDArray*> out_ptrs;
             for (runtime::NDArray& a : oracle_outputs) {
                 out_ptrs.push_back(&a);
@@ -732,20 +758,32 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             interp.run(workload, out_ptrs);
             oracle_state = 1;
         } catch (const std::exception&) {
-            // A workload the reference itself cannot execute (fuel
-            // exhaustion, unregistered intrinsic) disables the check
-            // instead of rejecting every candidate against garbage.
-            oracle_inputs.clear();
-            oracle_outputs.clear();
-            oracle_state = -1;
-            trace::instant("search.numeric_oracle_unavailable");
+            oracleUnavailable();
         }
-        return oracle_state > 0;
+    };
+    // One spot-check execution: the candidate on copies of the oracle
+    // inputs. An execution that throws (fuel, bounds, injected fault)
+    // is recorded for the gate, which rejects it.
+    auto runCheck = [&](const Candidate& cand) {
+        trace::Span span("candidate.numeric_run");
+        Candidate::CheckRun run;
+        run.outputs = oracle_inputs;
+        std::vector<runtime::NDArray*> arg_ptrs;
+        for (runtime::NDArray& a : run.outputs) arg_ptrs.push_back(&a);
+        try {
+            runtime::execute(cand.func, arg_ptrs);
+        } catch (const std::exception&) {
+            run.threw = true;
+            run.outputs.clear();
+        }
+        return run;
     };
 
     enum class NumericVerdict : uint8_t { kOk, kMismatch, kError };
-    auto numericCheck = [&](const Candidate& cand) -> NumericVerdict {
+    auto numericCheck = [&](Candidate& cand) -> NumericVerdict {
         trace::Span span("candidate.numeric_check");
+        TIR_ICHECK(oracle_state != 0)
+            << "numeric gate ran before the prepare stage built the oracle";
         try {
             // Keyed by structural hash: an injected mismatch hits the
             // same candidates at every parallelism setting.
@@ -753,13 +791,15 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                 span.addArg(trace::arg("injected", int64_t{1}));
                 return NumericVerdict::kMismatch;
             }
-            if (!ensureOracle()) return NumericVerdict::kOk;
-            std::vector<runtime::NDArray> args = oracle_inputs;
-            std::vector<runtime::NDArray*> arg_ptrs;
-            for (runtime::NDArray& a : args) arg_ptrs.push_back(&a);
-            runtime::execute(cand.func, arg_ptrs);
-            for (size_t i = 0; i < args.size(); ++i) {
-                double diff = args[i].maxAbsDiff(oracle_outputs[i]);
+            if (oracle_state < 0) return NumericVerdict::kOk;
+            if (!cand.check) cand.check = runCheck(cand);
+            // Contained like every per-candidate failure: an execution
+            // that threw is a runtime reject, never process death.
+            if (cand.check->threw) return NumericVerdict::kError;
+            const std::vector<runtime::NDArray>& outputs =
+                cand.check->outputs;
+            for (size_t i = 0; i < outputs.size(); ++i) {
+                double diff = outputs[i].maxAbsDiff(oracle_outputs[i]);
                 // NaN-propagating comparison: a NaN diff is a mismatch.
                 if (!(diff <= options.numeric_check_tolerance)) {
                     span.addArg(trace::arg("max_abs_diff", diff));
@@ -768,9 +808,6 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             }
             return NumericVerdict::kOk;
         } catch (const std::exception&) {
-            // Contained like every per-candidate failure: an execution
-            // that throws (fuel, bounds, injected fault) is a runtime
-            // reject, never process death.
             return NumericVerdict::kError;
         }
     };
@@ -778,11 +815,11 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
     // Shared by the init fold and every generation's measure fold;
     // returns true when the candidate may proceed to measurement.
     // Runs only on the sequential main thread.
-    auto numericGate = [&](const Candidate& cand,
-                           int& checked) -> bool {
+    auto numericGate = [&](Candidate& cand, int& checked) -> bool {
         if (checked >= options.numeric_check_topk) return true;
         ++checked;
         NumericVerdict verdict = numericCheck(cand);
+        cand.check.reset();
         if (verdict == NumericVerdict::kMismatch) {
             ++result.numeric_filtered;
             trace::counterAdd("search.numeric_filtered", 1);
@@ -794,6 +831,61 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
             return false;
         }
         return true;
+    };
+
+    // --- Prepare stage ------------------------------------------------
+    // Right before each measurement fold, the fold's expensive inputs
+    // that do not depend on each other run concurrently on the pool:
+    // the oracle's tree-walk (first use), the spot-check runs of the
+    // first `checks` candidates of `fold` (the ones the numeric gate
+    // will judge) and, on the wall-clock backend, the native compiles
+    // of all of `fold` (the candidates it may measure, in fold order).
+    // The fold then runs sequentially as before — failpoints,
+    // verdicts, counters, memo, journal and runner timing in candidate
+    // order — consuming these results; anything the stage did not
+    // produce the fold computes inline. Nothing here times a kernel,
+    // so no measurement ever overlaps other work.
+    JitMeasurer* jit_measurer = dynamic_cast<JitMeasurer*>(measurer.get());
+    auto prepare = [&](const std::vector<Candidate*>& fold, int checks) {
+        const size_t gated =
+            std::min(fold.size(), static_cast<size_t>(std::max(0, checks)));
+        std::vector<std::function<void()>> tasks;
+        if (gated > 0 && oracle_state == 0) {
+            buildOracleInputs();
+            if (oracle_state == 0) tasks.emplace_back(runOracle);
+        }
+        for (size_t i = 0; i < gated && oracle_state >= 0; ++i) {
+            Candidate* c = fold[i];
+            tasks.emplace_back([&, c] { c->check = runCheck(*c); });
+        }
+        if (jit_measurer) {
+            std::unordered_map<uint64_t, bool> seen;
+            for (const Candidate* c : fold) {
+                // The measurer rejects a device-invalid estimate before
+                // compiling, and a measured entry is served from the
+                // memo: neither compiles.
+                if (c->memo->measured || !c->memo->estimate.valid() ||
+                    !seen.emplace(c->hash, true).second) {
+                    continue;
+                }
+                tasks.emplace_back(
+                    [jit_measurer, c] { jit_measurer->prepare(c->func); });
+            }
+        }
+        if (tasks.empty()) return;
+        trace::Span span(
+            "search.prepare",
+            trace::arg("tasks", static_cast<int64_t>(tasks.size())));
+        // The engine override and the fuel budget are thread-local:
+        // install this search's on whichever thread runs a task.
+        const std::optional<runtime::Engine> engine =
+            runtime::engineOverride();
+        const uint64_t fuel = runtime::Interpreter::defaultStepLimit();
+        forEach(tasks.size(), [&](size_t i) {
+            runtime::ScopedEngine task_engine(engine);
+            runtime::ScopedStepLimit task_fuel(fuel);
+            tasks[i]();
+        });
     };
 
     // --- Crash-safe checkpointing (meta/journal.h) -------------------
@@ -1037,6 +1129,19 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
         processBatch(batch);
         trace::AccumSpan fold("search.init_fold",
                               result.timings.reduce_s);
+        {
+            // The fold gates and measures valid candidates in batch
+            // order while the population has room: the first `slots`
+            // of them for certain.
+            const size_t slots =
+                static_cast<size_t>(options.population) - population.size();
+            std::vector<Candidate*> ahead;
+            for (Candidate& c : batch) {
+                if (ahead.size() == slots) break;
+                if (c.valid) ahead.push_back(&c);
+            }
+            prepare(ahead, options.numeric_check_topk - init_checked);
+        }
         for (Candidate& c : batch) {
             // Every generated attempt is accounted for — even once the
             // population is full — so the filter counters keep the
@@ -1199,6 +1304,11 @@ evolutionarySearch(const PrimFunc& workload, const SketchApplier& sketch,
                                    static_cast<int64_t>(j)));
             }
         }
+        std::vector<Candidate*> ahead;
+        for (int c = 0; c < to_measure; ++c) {
+            ahead.push_back(&batch[children[static_cast<size_t>(c)]]);
+        }
+        prepare(ahead, options.numeric_check_topk);
         int gen_checked = 0;
         for (int c = 0; c < to_measure; ++c) {
             Candidate& cand = batch[children[static_cast<size_t>(c)]];

@@ -9,6 +9,9 @@
  * and simulated measurement are distributed over a std::jthread pool,
  * while all result folding (cost-model training data, best tracking,
  * population survival) happens sequentially in candidate-index order.
+ * Before each measurement fold a prepare stage runs the fold's numeric
+ * spot-checks and native compiles on the pool; the fold consumes them
+ * and still times every kernel alone, on the main thread.
  *
  * Determinism contract: for a fixed `TuneOptions::seed`, tuning results
  * — `best_decisions`, `best_latency_us`, `best_sketch`, `history`,
@@ -170,10 +173,11 @@ struct TuneOptions
      * workload. A per-element divergence beyond
      * `numeric_check_tolerance` rejects the candidate — counted in
      * TuneResult::numeric_filtered — before it is measured or admitted
-     * to the population. The check runs in the sequential measurement
-     * fold, so the rejected set (and the whole TuneResult) stays
-     * byte-identical for any `parallelism`. 0 (the default) disables
-     * the check.
+     * to the population. The executions run on pool workers ahead of
+     * the measurement fold, but the fold judges every verdict in
+     * candidate order, so the rejected set (and the whole TuneResult)
+     * stays byte-identical for any `parallelism`. 0 (the default)
+     * disables the check.
      */
     int numeric_check_topk = 0;
     /**
@@ -363,7 +367,9 @@ struct TuneResult
         double evaluate_s = 0;
         /** Cost-model fitting and child ranking. */
         double model_s = 0;
-        /** Sequential folds: measurement commits, survival, bookkeeping. */
+        /** Sequential folds: measurement commits, survival, bookkeeping,
+         *  plus the prepare stage before each measurement fold (oracle
+         *  build, spot-check runs and compiles on the pool). */
         double reduce_s = 0;
         /** Real measurement time (wall-clock backends: compile +
          *  warmup + timed repeats; 0 for the analytical backend). */

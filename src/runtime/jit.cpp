@@ -64,6 +64,9 @@ struct JitState
         modules;
     std::unordered_set<uint64_t> failed;
     std::unordered_set<uint64_t> inflight;
+    /** Held across a whole toolchain probe (single-flight per process);
+     *  guards `probe`. */
+    std::mutex probe_mu;
     std::unordered_map<std::string, bool> probe;
     std::unordered_map<std::string, std::string> identity;
     AtomicStats stats;
@@ -639,13 +642,13 @@ jitAvailable()
 {
     std::string cc = compilerPath();
     JitState& st = state();
-    {
-        std::lock_guard<std::mutex> lk(st.mu);
-        auto it = st.probe.find(cc);
-        if (it != st.probe.end()) return it->second;
-    }
+    // Single-flight: concurrent first callers would otherwise share the
+    // probe's per-process file names, delete each other's objects, and
+    // latch the loser's `false` for the rest of the process.
+    std::lock_guard<std::mutex> lk(st.probe_mu);
+    auto it = st.probe.find(cc);
+    if (it != st.probe.end()) return it->second;
     bool ok = probeToolchain(cc);
-    std::lock_guard<std::mutex> lk(st.mu);
     st.probe.emplace(cc, ok);
     return ok;
 }
@@ -707,10 +710,13 @@ void
 jitResetForTesting()
 {
     JitState& st = state();
+    {
+        std::lock_guard<std::mutex> probe_lk(st.probe_mu);
+        st.probe.clear();
+    }
     std::lock_guard<std::mutex> lk(st.mu);
     st.modules.clear();
     st.failed.clear();
-    st.probe.clear();
     st.identity.clear();
     st.stats.memory_hits = 0;
     st.stats.disk_hits = 0;

@@ -177,7 +177,8 @@ class JitModule
 std::shared_ptr<const JitModule> jitCompile(const PrimFunc& func);
 
 /** Whether the configured compiler can produce a loadable shared
- *  object (probed once per compiler path with a trivial TU; cached). */
+ *  object (probed once per compiler path with a trivial TU; cached).
+ *  Thread-safe: concurrent first callers share one probe. */
 bool jitAvailable();
 
 /** Run `func` natively if possible. Returns false — after recording a

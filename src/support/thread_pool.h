@@ -237,6 +237,11 @@ class ThreadPool
                     // it, while background tasks have no one waiting
                     // synchronously.
                     batch = batch_;
+                } else if (tasks_.empty()) {
+                    // The wait saw an open batch, but its owner claims
+                    // indices without the lock and closed it before
+                    // this re-check: nothing to do, wait again.
+                    continue;
                 } else {
                     task = std::move(tasks_.front());
                     tasks_.pop_front();

@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <optional>
+#include <thread>
 
 #include "meta/search.h"
 #include "runtime/jit.h"
@@ -325,6 +327,36 @@ TEST_F(JitTest, MissingToolchainFallsBackToVm)
     interp.run(func, tw_ptrs);
     for (size_t i = 0; i < args.size(); ++i) {
         EXPECT_EQ(args[i].maxAbsDiff(tw_args[i]), 0.0);
+    }
+}
+
+TEST_F(JitTest, ConcurrentFirstProbesAgree)
+{
+    // Regression: the toolchain probe writes fixed per-process file
+    // names, so concurrent first callers (the search's prepare stage
+    // compiles on several pool workers at once) deleted each other's
+    // probe objects, and the first `false` was latched for the whole
+    // process. The probe is single-flight: every caller sees the one
+    // result.
+    if (!runtime::jitAvailable()) {
+        GTEST_SKIP() << "no working C compiler for the JIT tier";
+    }
+    for (int round = 0; round < 20; ++round) {
+        runtime::jitResetForTesting();
+        std::latch start(4);
+        std::vector<char> ok(4, 0);
+        {
+            std::vector<std::jthread> threads;
+            for (size_t t = 0; t < ok.size(); ++t) {
+                threads.emplace_back([&, t] {
+                    start.arrive_and_wait();
+                    ok[t] = runtime::jitAvailable() ? 1 : 0;
+                });
+            }
+        }
+        for (size_t t = 0; t < ok.size(); ++t) {
+            EXPECT_EQ(ok[t], 1) << "round " << round << ", thread " << t;
+        }
     }
 }
 

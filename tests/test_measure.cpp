@@ -25,6 +25,7 @@
 #include "runtime/vm.h"
 #include "support/failpoint.h"
 #include "support/logging.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 #include "test_util.h"
@@ -315,6 +316,29 @@ TEST_F(JitMeasurerTest, CompileBudgetRejects)
     EXPECT_FALSE(m.fallback);
 }
 
+TEST_F(JitMeasurerTest, PreparedCompileChargesItsOwnTime)
+{
+    // The search compiles candidates ahead of its measurement fold
+    // (prepare). measure() then finds the module in the in-memory JIT
+    // cache; it must charge the prepared compile's wall time against
+    // the budget, not the microseconds of its own cache hit. A real
+    // compile of a fresh kernel takes far more than a millisecond.
+    if (!runtime::jitAvailable()) {
+        GTEST_SKIP() << "no toolchain: the budget path needs a compile";
+    }
+    runtime::jitResetForTesting(); // force a real (not cached) compile
+    PrimFunc func = testutil::matmul(8, 8, 8);
+    hwsim::RunEstimate estimate = hwsim::CpuDevice().run(func);
+    meta::MeasureConfig config;
+    config.compile_budget_ms = 1.0;
+    meta::JitMeasurer backend(func, config);
+    backend.prepare(func);
+    meta::Measurement m = backend.measure(func, estimate);
+    EXPECT_TRUE(m.compile_timeout);
+    EXPECT_FALSE(m.valid());
+    EXPECT_GE(m.wall_us, 1000.0) << "wall_us includes the compile";
+}
+
 // --- the Table 1 accounting invariant ----------------------------------
 
 meta::TuneOptions
@@ -379,6 +403,65 @@ TEST(MeasureAccountingTest, TrialsSplitInvariantOnJitBackend)
     // still completes, with the fallbacks accounted.
     EXPECT_LE(result.measure_fallbacks, result.trials_measured);
     EXPECT_TRUE(std::isfinite(result.best_latency_us));
+}
+
+/** The total of trace counter `name` in a summaryText() (0 when the
+ *  counter never fired). */
+int64_t
+counterTotal(const std::string& summary, const std::string& name)
+{
+    const std::string key = "counter " + name + " ";
+    size_t at = summary.find(key);
+    if (at == std::string::npos) return 0;
+    return std::stoll(summary.substr(at + key.size()));
+}
+
+TEST_F(JitMeasurerTest, CompileBudgetHoldsAtEveryParallelism)
+{
+    // With an impossible budget every compile is over it, whether the
+    // measurement fold compiled the kernel itself or the prepare stage
+    // compiled it on a pool worker: no candidate is ever a trial, so the
+    // initial population cannot fill and the search fails. The trace
+    // counters record the rejects it made on the way; they must match
+    // at parallelism 1 and 4.
+    if (!runtime::jitAvailable()) {
+        GTEST_SKIP() << "no toolchain: the budget path needs a compile";
+    }
+    workloads::OpSpec op =
+        workloads::gmm(16, 16, 16, DataType::f32(), DataType::f32());
+    hwsim::CpuDevice cpu;
+    meta::SketchApplier sketch =
+        meta::makeLoopSketchApplier("C", /*gpu=*/false);
+    failpoint::ScopedFailpoints quiet("");
+    // Joins an ambient session (TENSORIR_TRACE) if one is open, hence
+    // the before/after differences.
+    trace::SessionGuard session(::testing::TempDir() +
+                                "tensorir_compile_budget_trace.json");
+    ASSERT_TRUE(trace::enabled());
+    std::vector<int64_t> rejects, trials;
+    for (int parallelism : {1, 4}) {
+        runtime::jitResetForTesting();
+        meta::TuneOptions options = measureSearchOptions(91);
+        options.parallelism = parallelism;
+        options.measure_backend = "jit";
+        options.measure_warmup = 0;
+        options.measure_repeats_real = 1;
+        options.compile_budget_ms = 1e-6;
+        const std::string before = trace::summaryText();
+        EXPECT_THROW(
+            meta::evolutionarySearch(op.func, sketch, cpu, options),
+            FatalError);
+        const std::string after = trace::summaryText();
+        rejects.push_back(
+            counterTotal(after, "search.compile_timeout_filtered") -
+            counterTotal(before, "search.compile_timeout_filtered"));
+        trials.push_back(counterTotal(after, "search.trials_measured") -
+                         counterTotal(before, "search.trials_measured"));
+    }
+    EXPECT_GT(rejects[0], 0);
+    EXPECT_EQ(rejects[0], rejects[1]);
+    EXPECT_EQ(trials[0], 0);
+    EXPECT_EQ(trials[1], 0);
 }
 
 // --- journaled wall-clock resume ---------------------------------------

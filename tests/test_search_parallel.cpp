@@ -22,6 +22,7 @@
 #include "meta/sketch.h"
 #include "support/failpoint.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 namespace tir {
@@ -201,6 +202,27 @@ TEST(ThreadPoolTest, DestructionRightAfterBatchIsClean)
         std::atomic<int> ran{0};
         pool.parallelFor(16, [&](size_t) { ran.fetch_add(1); });
         EXPECT_EQ(ran.load(), 16);
+    }
+}
+
+TEST(ThreadPoolTest, TinyBatchesWithNoTasksNeverRunATask)
+{
+    // Regression: a worker woken for an open batch re-checks it under
+    // the lock, but the owner claims indices without the lock — the
+    // batch can close in between. The worker must then go back to
+    // waiting, not pop a task from the empty queue (undefined
+    // behaviour: a garbage std::function call, a corrupted deque).
+    // Tiny batches with more threads than indices make that window
+    // common; no background task is ever submitted.
+    for (int round = 0; round < 20; ++round) {
+        support::ThreadPool pool(4);
+        std::atomic<int> ran{0};
+        for (int batch = 0; batch < 2000; ++batch) {
+            pool.parallelFor(2, [&](size_t) { ran.fetch_add(1); });
+        }
+        ASSERT_EQ(ran.load(), 4000);
+        ASSERT_EQ(pool.taskExceptions(), 0);
+        ASSERT_EQ(pool.pendingTasks(), 0u);
     }
 }
 
@@ -543,62 +565,161 @@ TEST(RngTest, RandIntIsUnbiasedNearTheWordSize)
         << "biased modulo mapping would give ~0.75";
 }
 
+/** Winners, trajectories and every counter the numeric gate touches
+ *  agree between two tunes. */
+void
+expectSameTune(const meta::TuneResult& a, const meta::TuneResult& b)
+{
+    EXPECT_EQ(a.numeric_filtered, b.numeric_filtered);
+    EXPECT_EQ(a.runtime_filtered, b.runtime_filtered);
+    EXPECT_EQ(a.invalid_filtered, b.invalid_filtered);
+    EXPECT_EQ(a.trials_measured, b.trials_measured);
+    EXPECT_EQ(a.measured_valid, b.measured_valid);
+    EXPECT_EQ(a.memo_hits, b.memo_hits);
+    EXPECT_EQ(a.memo_measure_hits, b.memo_measure_hits);
+    EXPECT_EQ(a.tuning_cost_us, b.tuning_cost_us);
+    EXPECT_EQ(a.best_latency_us, b.best_latency_us);
+    EXPECT_EQ(a.history, b.history);
+    expectSameDecisions(a.best_decisions, b.best_decisions);
+    EXPECT_EQ(funcToString(a.best_func), funcToString(b.best_func));
+}
+
+/** The spot-check tests run on the default engine and on the
+ *  tree-walker: the prepare stage runs checks on pool workers, which
+ *  must see the search's engine, not their own default. */
+const std::vector<std::string> kCheckEngines = {"", "treewalk"};
+
 TEST(ParallelSearchTest, NumericCheckFiltersDeterministically)
 {
     // Injected mismatches are keyed by structural hash, so the numeric
     // gate rejects the same candidates at every parallelism setting and
     // the full result — including the numeric_filtered counter — stays
     // byte-identical. The surviving checks really execute candidates
-    // through the VM against the tree-walked oracle.
+    // against the tree-walked oracle, on pool workers when parallel.
     registerBuiltinIntrinsics();
     workloads::OpSpec op = workloads::gmm(32, 32, 32);
     hwsim::GpuDevice gpu;
     meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
     failpoint::ScopedFailpoints guard(
         "seed=11; search.numeric_check=error(0.5)");
-    meta::TuneOptions serial_opts = searchOptions(1);
-    serial_opts.numeric_check_topk = 3;
-    meta::TuneOptions parallel_opts = searchOptions(4);
-    parallel_opts.numeric_check_topk = 3;
+    for (const std::string& engine : kCheckEngines) {
+        SCOPED_TRACE("engine \"" + engine + "\"");
+        meta::TuneOptions serial_opts = searchOptions(1);
+        serial_opts.numeric_check_topk = 3;
+        serial_opts.engine = engine;
+        meta::TuneOptions parallel_opts = serial_opts;
+        parallel_opts.parallelism = 4;
 
-    meta::TuneResult serial = meta::autoTune(
-        task, gpu, serial_opts, meta::TunerStyle::kTensorIR);
-    meta::TuneResult parallel = meta::autoTune(
-        task, gpu, parallel_opts, meta::TunerStyle::kTensorIR);
+        meta::TuneResult serial = meta::autoTune(
+            task, gpu, serial_opts, meta::TunerStyle::kTensorIR);
+        meta::TuneResult parallel = meta::autoTune(
+            task, gpu, parallel_opts, meta::TunerStyle::kTensorIR);
 
-    EXPECT_GT(serial.numeric_filtered, 0)
-        << "the chaos schedule should reject some checked candidates";
-    EXPECT_EQ(serial.numeric_filtered, parallel.numeric_filtered);
-    EXPECT_EQ(serial.runtime_filtered, parallel.runtime_filtered);
-    EXPECT_EQ(serial.trials_measured, parallel.trials_measured);
-    EXPECT_EQ(serial.best_latency_us, parallel.best_latency_us);
-    EXPECT_EQ(serial.history, parallel.history);
-    expectSameDecisions(serial.best_decisions, parallel.best_decisions);
-    EXPECT_EQ(funcToString(serial.best_func),
-              funcToString(parallel.best_func));
+        EXPECT_GT(serial.numeric_filtered, 0)
+            << "the chaos schedule should reject some checked candidates";
+        expectSameTune(serial, parallel);
+    }
 }
 
 TEST(ParallelSearchTest, NumericCheckPassesHonestCandidates)
 {
     // Without injection every schedule the search produces computes the
     // same function as the workload, so the spot-check must reject
-    // nothing and leave the search trajectory untouched.
+    // nothing and leave the search trajectory untouched, at any
+    // parallelism.
     registerBuiltinIntrinsics();
     workloads::OpSpec op = workloads::gmm(32, 32, 32);
     hwsim::GpuDevice gpu;
     meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
-    meta::TuneOptions checked_opts = searchOptions(1);
-    checked_opts.numeric_check_topk = 2;
-
     meta::TuneResult plain = meta::autoTune(
         task, gpu, searchOptions(1), meta::TunerStyle::kTensorIR);
-    meta::TuneResult checked = meta::autoTune(
-        task, gpu, checked_opts, meta::TunerStyle::kTensorIR);
+    for (const std::string& engine : kCheckEngines) {
+        SCOPED_TRACE("engine \"" + engine + "\"");
+        meta::TuneOptions checked_opts = searchOptions(1);
+        checked_opts.numeric_check_topk = 2;
+        checked_opts.engine = engine;
+        meta::TuneOptions parallel_opts = checked_opts;
+        parallel_opts.parallelism = 4;
 
-    EXPECT_EQ(checked.numeric_filtered, 0);
-    EXPECT_EQ(plain.best_latency_us, checked.best_latency_us);
-    EXPECT_EQ(plain.history, checked.history);
-    EXPECT_EQ(plain.trials_measured, checked.trials_measured);
+        meta::TuneResult checked = meta::autoTune(
+            task, gpu, checked_opts, meta::TunerStyle::kTensorIR);
+        meta::TuneResult parallel = meta::autoTune(
+            task, gpu, parallel_opts, meta::TunerStyle::kTensorIR);
+
+        EXPECT_EQ(checked.numeric_filtered, 0);
+        EXPECT_EQ(checked.runtime_filtered, 0);
+        EXPECT_EQ(plain.best_latency_us, checked.best_latency_us);
+        EXPECT_EQ(plain.history, checked.history);
+        EXPECT_EQ(plain.trials_measured, checked.trials_measured);
+        expectSameTune(checked, parallel);
+    }
+}
+
+/** Calls of span `name` in a summaryText() (0 when it never ran). */
+int64_t
+spanCalls(const std::string& summary, const std::string& name)
+{
+    const std::string key = "\n  " + name + " ";
+    size_t at = summary.find(key);
+    if (at == std::string::npos) return 0;
+    return std::stoll(summary.substr(at + key.size()));
+}
+
+TEST(ParallelSearchTest, NumericCheckEngineReachesPoolThreads)
+{
+    // Every engine computes the same verdicts, so equal results alone
+    // cannot show which engine ran a check. The trace can: under
+    // engine "treewalk" a parallel search's checks — run on pool
+    // workers by the prepare stage — must all be tree-walks, none
+    // the VM a worker thread would select by default.
+    registerBuiltinIntrinsics();
+    workloads::OpSpec op = workloads::gmm(32, 32, 32);
+    hwsim::GpuDevice gpu;
+    meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
+    meta::TuneOptions options = searchOptions(4);
+    options.numeric_check_topk = 3;
+    options.engine = "treewalk";
+    // Joins an ambient session (TENSORIR_TRACE) if one is open, hence
+    // the before/after differences.
+    trace::SessionGuard session(::testing::TempDir() +
+                                "tensorir_check_engine_trace.json");
+    ASSERT_TRUE(trace::enabled());
+    const std::string before = trace::summaryText();
+    meta::autoTune(task, gpu, options, meta::TunerStyle::kTensorIR);
+    const std::string after = trace::summaryText();
+    EXPECT_GT(spanCalls(after, "candidate.numeric_run") -
+                  spanCalls(before, "candidate.numeric_run"),
+              0);
+    EXPECT_EQ(spanCalls(after, "vm.run") - spanCalls(before, "vm.run"), 0);
+}
+
+TEST(ParallelSearchTest, NumericCheckFuelReachesPoolThreads)
+{
+    // The fuel budget is thread-local. At this limit the tree-walked
+    // oracle of the unscheduled GMM finishes, but candidates that stage
+    // operands through shared memory run out of fuel in the check and
+    // are rejected as runtime faults. The parallel run judges checks
+    // executed on pool workers; it rejects exactly the same candidates
+    // only if the search installed its budget on those threads.
+    registerBuiltinIntrinsics();
+    workloads::OpSpec op = workloads::gmm(32, 32, 32);
+    hwsim::GpuDevice gpu;
+    meta::TuneTask task{op.func, "C", "gpu", {"wmma_16x16x16_f16"}};
+    meta::TuneOptions serial_opts = searchOptions(1);
+    serial_opts.numeric_check_topk = 3;
+    serial_opts.eval_step_limit = 100000;
+    meta::TuneOptions parallel_opts = serial_opts;
+    parallel_opts.parallelism = 4;
+
+    meta::TuneResult serial = meta::autoTune(
+        task, gpu, serial_opts, meta::TunerStyle::kTensorIR);
+    meta::TuneResult parallel = meta::autoTune(
+        task, gpu, parallel_opts, meta::TunerStyle::kTensorIR);
+
+    EXPECT_GT(serial.runtime_filtered, 0)
+        << "the limit should fuel out some spot-checks";
+    EXPECT_EQ(serial.numeric_filtered, 0);
+    expectSameTune(serial, parallel);
 }
 
 TEST(RngDeriveTest, DeterministicAndIndependent)
